@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,14 +346,22 @@ func TestLookupFindsValueAndSurvivesFailures(t *testing.T) {
 	rec := &Record{GroupID: "the-group", Rendezvous: wire.PeerInfo{Addr: "root"}, Epoch: 3}
 
 	// Half the holders are down: the lookup must still find a live replica.
+	// Lookup calls query concurrently, so the failure budget is guarded.
+	var mu sync.Mutex
 	dead := 0
 	query := func(c Contact, tgt ID) ([]Contact, *Record, error) {
-		if holders[c.Info.Addr] {
-			if dead < k/2 {
-				dead++
-				holders[c.Info.Addr] = false // stays dead, deterministic
-				return nil, nil, fmt.Errorf("replica down")
-			}
+		mu.Lock()
+		holder := holders[c.Info.Addr]
+		fail := holder && dead < k/2
+		if fail {
+			dead++
+			holders[c.Info.Addr] = false // stays dead
+		}
+		mu.Unlock()
+		if fail {
+			return nil, nil, fmt.Errorf("replica down")
+		}
+		if holder {
 			cs, _, err := net.query(c, tgt)
 			return cs, rec, err
 		}
@@ -363,6 +373,61 @@ func TestLookupFindsValueAndSurvivesFailures(t *testing.T) {
 	}
 	if res.Failures == 0 {
 		t.Fatal("test never exercised the failure path")
+	}
+}
+
+// TestLookupQueriesRunConcurrently pins Lookup's concurrency contract: the
+// calls of one wave overlap (a wave of alpha blocks until all alpha are in
+// flight), and no more than alpha are ever in flight. Run it under -race:
+// the shared tally is the kind of state a QueryFunc must guard.
+func TestLookupQueriesRunConcurrently(t *testing.T) {
+	const n, k, alpha = 128, DefaultK, 3
+	net := buildSimNet(n, k, 4)
+	target := KeyID("overlap")
+	var inFlight, peak atomic.Int32
+	var mu sync.Mutex
+	calls := map[string]int{}
+	var firstWave sync.WaitGroup
+	firstWave.Add(alpha)
+	var waveOnce atomic.Int32
+	query := func(c Contact, tgt ID) ([]Contact, *Record, error) {
+		now := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			p := peak.Load()
+			if now <= p || peak.CompareAndSwap(p, now) {
+				break
+			}
+		}
+		mu.Lock()
+		calls[c.Info.Addr]++
+		mu.Unlock()
+		if waveOnce.Add(1) <= alpha {
+			// The first wave's calls wait for each other: this deadlocks
+			// (and the test times out) unless they run concurrently.
+			firstWave.Done()
+			firstWave.Wait()
+		}
+		return net.query(c, tgt)
+	}
+	done := make(chan Result, 1)
+	go func() { done <- Lookup(target, net.tables[9].Closest(target, k), k, alpha, query) }()
+	var res Result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first wave never had alpha queries in flight at once")
+	}
+	if got := peak.Load(); got != alpha {
+		t.Fatalf("peak in-flight queries %d, want exactly alpha=%d", got, alpha)
+	}
+	for addr, c := range calls {
+		if c != 1 {
+			t.Fatalf("%s queried %d times", addr, c)
+		}
+	}
+	if len(calls) != res.Queries {
+		t.Fatalf("%d distinct contacts queried, Result.Queries %d", len(calls), res.Queries)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 // QueryFunc issues one FindNode/FindValue RPC against contact c for target:
 // it returns the contacts c offered and, for value lookups, the record when
 // c held it. Implementations may block (the node's version waits on a wire
-// round-trip); Lookup runs up to alpha of them concurrently per wave.
+// round-trip). Lookup calls a QueryFunc from several goroutines at once, so
+// any state it shares across calls must be synchronized.
 type QueryFunc func(c Contact, target ID) (contacts []Contact, rec *Record, err error)
 
 // Result summarizes one iterative lookup.
@@ -40,9 +41,14 @@ type candidate struct {
 // it repeatedly queries, in waves of up to alpha, the closest candidates not
 // yet asked, folds every reply's contacts into the shortlist, and stops when
 // the k closest known candidates have all been queried (or a value lookup
-// hits). Queries inside a wave run concurrently but their replies merge in
-// slot order, so with a deterministic QueryFunc the whole lookup — including
-// its message count — is deterministic at any scheduling.
+// hits).
+//
+// Concurrency: q runs concurrently, one goroutine per call, up to alpha calls
+// per wave; waves do not overlap, and each contact is queried at most once.
+// A q that touches shared state must guard it (TestLookupQueriesRunConcurrently
+// pins this contract under -race). Replies merge in slot order, so with a
+// deterministic QueryFunc the whole lookup — including its message count —
+// is deterministic at any scheduling.
 func Lookup(target ID, seeds []Contact, k, alpha int, q QueryFunc) Result {
 	if k <= 0 {
 		k = DefaultK

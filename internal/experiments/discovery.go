@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"groupcast/internal/dht"
 	"groupcast/internal/overlay"
@@ -155,8 +156,12 @@ func DiscoveryStudy(sizes []int, skews, churns []float64, groups, joins int, see
 		for i := range scratch {
 			scratch[i] = i
 		}
+		// Lookup runs its queries concurrently (up to α per wave), so the
+		// per-holder serve counts are guarded. The set of queries a lookup
+		// issues is deterministic, so the counts are too.
 		type slotKey struct{ group, holder int }
 		holderServes := make(map[slotKey]int)
+		var servesMu sync.Mutex
 		for j := 0; j < joins; j++ {
 			gen := j + 1
 			// Partial Fisher–Yates draw of the down-set for this join.
@@ -190,7 +195,9 @@ func DiscoveryStudy(sizes []int, skews, churns []float64, groups, joins int, see
 						return nil, nil, fmt.Errorf("peer down")
 					}
 					if gs.holders[i] {
+						servesMu.Lock()
 						holderServes[slotKey{gi, i}]++
+						servesMu.Unlock()
 						return nil, &dht.Record{GroupID: "g", Epoch: 1,
 							Rendezvous: contacts[gs.rdv].Info}, nil
 					}

@@ -202,12 +202,14 @@ func TestReliableSoakBoundedState(t *testing.T) {
 		}
 		// Pace by the tail's progress so the inboxes never overflow and the
 		// windows genuinely slide (10k sequences through a 512-seq window).
+		// The failure message is built before the wait, while deliveries
+		// are still running, so it names only the target.
 		want := base + batch
 		waitFor(t, 10*time.Second, func() bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return delivered >= want
-		}, fmt.Sprintf("tail delivered %d of %d", delivered, want))
+		}, fmt.Sprintf("tail delivered fewer than %d", want))
 	}
 
 	for i, nd := range nodes {

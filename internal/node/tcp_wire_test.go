@@ -1,7 +1,9 @@
 package node
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -10,15 +12,13 @@ import (
 	"groupcast/internal/wire"
 )
 
-// newTCPCluster spins up n live nodes over real TCP, each speaking the wire
-// version chosen by versionFor(i), bootstrapped into one overlay.
-func newTCPCluster(t *testing.T, n int, versionFor func(i int) int) []*Node {
+// newTCPCluster spins up n live nodes over real TCP, bootstrapped into one
+// overlay.
+func newTCPCluster(t *testing.T, n int) []*Node {
 	t.Helper()
 	var nodes []*Node
 	for i := 0; i < n; i++ {
-		cfg := transport.DefaultTCPConfig()
-		cfg.WireVersion = versionFor(i)
-		tr, err := transport.ListenTCPConfig("127.0.0.1:0", cfg)
+		tr, err := transport.ListenTCP("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +79,13 @@ func publishAndAwait(t *testing.T, gid string, members []*Node, recs map[string]
 	}
 }
 
-// TestNodeClusterBinaryWire soaks a reliable-ordered group over real TCP on
-// the binary wire version: the full node stack — joins, beacons, digests
+// TestNodeClusterBinaryWire soaks a reliable-ordered group over real TCP:
+// the full node stack — joins, beacons, digests
 // (coalesced on the wire), sequenced payloads, encode-once relay fan-out —
 // speaking the hand-rolled codec end to end.
 func TestNodeClusterBinaryWire(t *testing.T) {
 	const gid, perSource = "bin", 20
-	nodes := newTCPCluster(t, 6, func(int) int { return wire.VersionBinary })
+	nodes := newTCPCluster(t, 6)
 	rdv := nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
@@ -106,20 +106,14 @@ func TestNodeClusterBinaryWire(t *testing.T) {
 	publishAndAwait(t, gid, nodes, recs, []*Node{rdv, nodes[3]}, perSource)
 }
 
-// TestNodeClusterMixedWireVersions is the rolling-upgrade scenario: half the
-// cluster still speaks gob, half speaks binary, and one group spans both.
-// Every link between the halves has a gob writer on one side and a binary
-// writer on the other; the sniffing frame reader must keep the overlay,
-// tree, and data plane fully functional in both directions.
+// TestNodeClusterMixedWireVersions: a peer that was never upgraded off the
+// retired gob wire version 1 dials every member of a formed reliable-ordered
+// group. Each member drops that connection at the first frame
+// header, and the group keeps delivering every payload in order.
 func TestNodeClusterMixedWireVersions(t *testing.T) {
 	const gid, perSource = "mixed", 15
-	nodes := newTCPCluster(t, 6, func(i int) int {
-		if i%2 == 0 {
-			return wire.VersionGob
-		}
-		return wire.VersionBinary
-	})
-	rdv := nodes[0] // gob-speaking rendezvous
+	nodes := newTCPCluster(t, 6)
+	rdv := nodes[0]
 	if err := rdv.CreateGroupMode(gid, wire.ReliableOrdered); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +130,24 @@ func TestNodeClusterMixedWireVersions(t *testing.T) {
 	for _, nd := range nodes {
 		recs[nd.Addr()] = recordPayloads(nd)
 	}
-	// One publisher per dialect: gob-origin payloads relay through binary
-	// nodes and vice versa.
+	// The head of a version-1 frame: a 4-byte big-endian length prefix and
+	// the start of the gob type descriptors.
+	v1 := []byte{0x00, 0x00, 0x03, 0x86, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07}
+	for _, nd := range nodes {
+		conn, err := net.Dial("tcp", nd.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(v1); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		if err == nil || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s kept a version-1 connection open: read %d, %v", nd.Addr(), n, err)
+		}
+	}
 	publishAndAwait(t, gid, nodes, recs, []*Node{rdv, nodes[1]}, perSource)
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -120,7 +119,7 @@ func TestTraceReconstructsPublishPathWithNackRecovery(t *testing.T) {
 			}
 		}
 		return true
-	}, fmt.Sprintf("incomplete delivery: %v", delivered))
+	}, "payloads one and two never reached every member")
 
 	// ---- Reconstruction: everything below uses only the trace events. ----
 	var events []trace.Event

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -136,7 +138,7 @@ func TestCoalesceSizeFlush(t *testing.T) {
 }
 
 // TestSendManyTCP: one encode, many links, every destination receives the
-// identical message over the binary wire version.
+// identical message.
 func TestSendManyTCP(t *testing.T) {
 	cfg := DefaultTCPConfig()
 	a, _ := tcpPairConfig(t, cfg)
@@ -175,58 +177,54 @@ func TestSendManyTCP(t *testing.T) {
 	}
 }
 
-// TestSendManyGobFallback: the gob version cannot share encoded frames and
-// falls back to per-link sends, still delivering everywhere.
-func TestSendManyGobFallback(t *testing.T) {
-	cfg := DefaultTCPConfig()
-	cfg.WireVersion = wire.VersionGob
-	a, b := tcpPairConfig(t, cfg)
-	msg := wire.Message{Type: wire.TPayload, GroupID: "fan", Seq: 2, Data: []byte("gob")}
-	var calls int
-	a.SendMany([]string{b.Addr()}, msg, func(addr string, err error) {
-		calls++
-		if err != nil {
-			t.Fatalf("send to %s: %v", addr, err)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want 1", calls)
-	}
-	if got := recvOne(t, b, 2*time.Second); string(got.Data) != "gob" {
-		t.Fatalf("gob fan-out corrupted: %+v", got)
-	}
-}
-
-// TestMixedWireVersionLink: a gob-speaking endpoint and a binary-speaking
-// endpoint interoperate in both directions on one TCP link pair — the
-// sniffing reader is what makes rolling upgrades safe.
+// TestMixedWireVersionLink: a peer still speaking the retired gob wire
+// version 1 has its connection dropped at the first frame header, and the
+// endpoint keeps serving binary peers on both sides of that event.
 func TestMixedWireVersionLink(t *testing.T) {
-	gobCfg := DefaultTCPConfig()
-	gobCfg.WireVersion = wire.VersionGob
-	old, err := ListenTCPConfig("127.0.0.1:0", gobCfg)
-	if err != nil {
+	srv, peer := tcpPairConfig(t, DefaultTCPConfig())
+	before := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 1, Data: []byte("before")}
+	if err := peer.Send(srv.Addr(), before); err != nil {
 		t.Fatal(err)
 	}
-	neu, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if got := recvOne(t, srv, 2*time.Second); string(got.Data) != "before" {
+		t.Fatalf("binary peer corrupted: %+v", got)
 	}
-	t.Cleanup(func() { _ = old.Close(); _ = neu.Close() })
 
-	fwd := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 1,
-		From: wire.PeerInfo{Addr: old.Addr(), Coord: []float64{3, 4}}, Data: []byte("old->new")}
-	if err := old.Send(neu.Addr(), fwd); err != nil {
+	legacy, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := recvOne(t, neu, 2*time.Second); string(got.Data) != "old->new" || got.From.Coord[1] != 4 {
-		t.Fatalf("gob->binary corrupted: %+v", got)
+	defer legacy.Close()
+	// The head of a version-1 frame: a 4-byte big-endian length prefix
+	// followed by the start of the gob type descriptors.
+	v1 := []byte{0x00, 0x00, 0x03, 0x86, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07}
+	if _, err := legacy.Write(v1); err != nil {
+		t.Fatal(err)
 	}
-	back := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 2, Data: []byte("new->old"),
+	// The endpoint closes with the rest of the frame unread, so the close
+	// shows up as EOF or a reset; a timeout means it kept the link open.
+	_ = legacy.SetReadDeadline(time.Now().Add(2 * time.Second))
+	n, err := legacy.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("version-1 connection not dropped: read %d, %v", n, err)
+	}
+
+	after := wire.Message{Type: wire.TPayload, GroupID: "mix", Seq: 2, Data: []byte("after"),
 		Digest: []wire.DigestEntry{{Source: "s", High: 11}}}
-	if err := neu.Send(old.Addr(), back); err != nil {
+	if err := peer.Send(srv.Addr(), after); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvOne(t, old, 2*time.Second); string(got.Data) != "new->old" || got.Digest[0].High != 11 {
-		t.Fatalf("binary->gob corrupted: %+v", got)
+	if got := recvOne(t, srv, 2*time.Second); string(got.Data) != "after" || got.Digest[0].High != 11 {
+		t.Fatalf("binary peer after the drop: got %+v", got)
+	}
+	if err := srv.Send(peer.Addr(), before); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, peer, 2*time.Second); string(got.Data) != "before" {
+		t.Fatalf("reverse direction after the drop: got %+v", got)
+	}
+	if depth := srv.QueueDepth(); depth != 0 {
+		t.Fatalf("version-1 bytes reached the inbox: depth %d", depth)
 	}
 }

@@ -17,24 +17,18 @@ import (
 // few hundred frames of memory before the breaker takes over.
 const DefaultSendQueueLen = 256
 
-// TCPConfig bounds the TCP transport's blocking operations and selects its
-// wire behaviour. A dead or wedged peer must never stall Send (and the
-// heartbeat loop behind it) indefinitely.
+// TCPConfig bounds the TCP transport's blocking operations and tunes its
+// queues. A dead or wedged peer must never stall Send (and the heartbeat
+// loop behind it) indefinitely.
 type TCPConfig struct {
 	// DialTimeout bounds connection establishment. Zero uses the default.
 	DialTimeout time.Duration
 	// WriteTimeout bounds each message write (applied as a per-write
 	// deadline on the connection). Zero uses the default.
 	WriteTimeout time.Duration
-	// WireVersion selects the frame encoding this endpoint writes:
-	// wire.VersionBinary (the default) or wire.VersionGob (legacy, kept for
-	// one release of mixed-cluster compatibility). Reads always accept both
-	// — the frame reader sniffs each frame.
-	WireVersion int
 	// CoalesceWindow is how long small control messages (beacons, digests)
 	// may wait per link to share one container frame. Zero uses
-	// DefaultCoalesceWindow; negative disables coalescing. Only the binary
-	// wire version coalesces.
+	// DefaultCoalesceWindow; negative disables coalescing.
 	CoalesceWindow time.Duration
 	// CoalesceLimit is the pending-bytes threshold that flushes a link's
 	// container frame before the window elapses. Zero uses
@@ -61,12 +55,11 @@ type TCPConfig struct {
 	BreakerMaxBackoff time.Duration
 }
 
-// DefaultTCPConfig returns the timeouts and wire settings used by ListenTCP.
+// DefaultTCPConfig returns the timeouts and queue bounds used by ListenTCP.
 func DefaultTCPConfig() TCPConfig {
 	return TCPConfig{
 		DialTimeout:       5 * time.Second,
 		WriteTimeout:      5 * time.Second,
-		WireVersion:       wire.DefaultVersion,
 		InboxCapacity:     DefaultInboxCapacity,
 		SendQueueLen:      DefaultSendQueueLen,
 		BreakerThreshold:  DefaultBreakerThreshold,
@@ -76,12 +69,11 @@ func DefaultTCPConfig() TCPConfig {
 }
 
 // TCPTransport is a frame-coded TCP implementation of Transport speaking the
-// dual-version wire codec (see internal/wire: a sniffing FrameReader, so a
-// single cluster can mix binary- and gob-speaking nodes during an upgrade,
-// with a hard frame size cap either way so a hostile or corrupted stream
-// fails fast instead of driving huge allocations). Each endpoint listens on
-// its address; outbound connections are cached per destination and
-// redialled once on failure.
+// binary wire codec (see internal/wire; the frame header's magic and hard
+// size cap make a hostile, corrupted or version-1 stream fail fast instead
+// of driving huge allocations, and the connection is dropped). Each endpoint
+// listens on its address; outbound connections are cached per destination
+// and redialled once on failure.
 //
 // Inbound messages land in a class-prioritized bounded queue (PrioInbox):
 // under overload, control traffic displaces best-effort payloads instead of
@@ -92,12 +84,11 @@ func DefaultTCPConfig() TCPConfig {
 // write errors, full send queues) into fast rejections with a half-open
 // probe after backoff.
 //
-// On the binary wire version the transport additionally coalesces per-link
-// control messages (beacons and digests share one container frame, flushed
-// on a short timer or size threshold) and implements MultiSender: a fan-out
-// message is encoded once into a pooled, reference-counted buffer and the
-// same bytes are queued to every link — the zero-copy half of the relay
-// hot path.
+// The transport also coalesces per-link control messages (beacons and
+// digests share one container frame, flushed on a short timer or size
+// threshold) and implements MultiSender: a fan-out message is encoded once
+// into a pooled, reference-counted buffer and the same bytes are queued to
+// every link — the zero-copy half of the relay hot path.
 type TCPTransport struct {
 	ln    net.Listener
 	cfg   TCPConfig
@@ -117,23 +108,17 @@ type TCPTransport struct {
 	wg       sync.WaitGroup
 }
 
-// outItem is one queued outbound unit: either pre-encoded frame bytes
-// (binary wire — possibly shared across a fan-out via refs) or a message
-// value the writer's own FrameWriter encodes (gob wire, whose per-stream
-// encoder state forbids pre-encoding).
+// outItem is one queued outbound unit: pre-encoded frame bytes, possibly
+// shared across a fan-out via refs.
 type outItem struct {
 	frame []byte
 	refs  *atomic.Int32 // nil: exclusive pooled frame
-	msg   *wire.Message // gob wire only
 	msgs  int           // messages carried (coalesced containers carry >1)
 }
 
 // releaseItem returns an item's frame buffer to the encode pool once the
 // last holder lets go.
 func releaseItem(it outItem) {
-	if it.frame == nil {
-		return
-	}
 	if it.refs == nil || it.refs.Add(-1) == 0 {
 		wire.PutEncodeBuffer(it.frame)
 	}
@@ -144,7 +129,6 @@ type tcpConn struct {
 	addr string
 	conn net.Conn
 	brk  *breaker
-	fw   *wire.FrameWriter // gob wire: owned by the writer goroutine
 
 	writeTmo   time.Duration
 	sendq      chan outItem
@@ -164,7 +148,7 @@ var (
 )
 
 // ListenTCP starts an endpoint on addr ("host:port"; ":0" picks a free
-// port) with the default configuration (binary wire version, coalescing on).
+// port) with the default configuration (coalescing on).
 func ListenTCP(addr string) (*TCPTransport, error) {
 	return ListenTCPConfig(addr, DefaultTCPConfig())
 }
@@ -178,9 +162,6 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = def.WriteTimeout
-	}
-	if cfg.WireVersion == 0 {
-		cfg.WireVersion = def.WireVersion
 	}
 	if cfg.InboxCapacity <= 0 {
 		cfg.InboxCapacity = def.InboxCapacity
@@ -196,9 +177,6 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPTransport, error) {
 	}
 	if cfg.BreakerMaxBackoff <= 0 {
 		cfg.BreakerMaxBackoff = def.BreakerMaxBackoff
-	}
-	if _, err := wire.NewFrameWriterVersion(nil, cfg.WireVersion); err != nil {
-		return nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -232,9 +210,6 @@ func (t *TCPTransport) QueueCapacity() int { return t.inbox.Capacity() }
 // InboxQueue exposes the prioritized inbox for tests and experiments that
 // assert on per-class accept/shed accounting.
 func (t *TCPTransport) InboxQueue() *PrioInbox { return t.inbox }
-
-// WireVersion reports the frame encoding this endpoint writes.
-func (t *TCPTransport) WireVersion() int { return t.cfg.WireVersion }
 
 // DropStats reports inbound messages shed on a full inbox (broken down by
 // class), outbound messages lost to dial/write failures, frames dropped on
@@ -278,10 +253,6 @@ func (t *TCPTransport) CoalesceStats() CoalesceStats {
 		Msgs:   t.coalesceMsgs.Load(),
 		Frames: t.coalesceFlush.Load(),
 	}
-}
-
-func (t *TCPTransport) coalescing() bool {
-	return t.cfg.WireVersion == wire.VersionBinary && t.cfg.CoalesceWindow >= 0
 }
 
 // breakerLocked returns addr's breaker, creating it on first use. Caller
@@ -351,6 +322,49 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 // coalesce window; everything else is queued at once (flushing any pending
 // container frame first, so per-link ordering holds).
 func (t *TCPTransport) Send(addr string, msg wire.Message) error {
+	return t.sendVia(addr, func(c *tcpConn) error { return c.send(&msg) })
+}
+
+// SendMany implements MultiSender: msg is encoded exactly once into a
+// pooled, reference-counted buffer and the same frame bytes are queued to
+// every address — a stalled link rejects fast (full queue or open breaker)
+// without delaying the others. each (optional) observes every link's
+// outcome.
+func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
+	buf := wire.GetEncodeBuffer()
+	frame, err := wire.AppendMessage(buf, &msg)
+	if err != nil {
+		wire.PutEncodeBuffer(buf)
+		for _, addr := range addrs {
+			if each != nil {
+				each(addr, err)
+			}
+		}
+		return
+	}
+	// One reference per link plus one held here, so the frame cannot be
+	// pooled while links are still being offered it.
+	refs := new(atomic.Int32)
+	refs.Store(int32(len(addrs)) + 1)
+	for _, addr := range addrs {
+		err := t.sendVia(addr, func(c *tcpConn) error { return c.sendShared(frame, refs) })
+		if err != nil {
+			// The link never took ownership of its reference.
+			releaseItem(outItem{frame: frame, refs: refs})
+		}
+		if each != nil {
+			each(addr, err)
+		}
+	}
+	releaseItem(outItem{frame: frame, refs: refs})
+}
+
+// sendVia runs enqueue on addr's link under the transport's send contract:
+// an open breaker rejects at once; otherwise the cached connection is
+// tried, and if it is closing or poisoned, one fresh connection is dialled.
+// A full send queue, a dial failure or a failed enqueue on the fresh link is
+// counted, reported to the breaker and returned.
+func (t *TCPTransport) sendVia(addr string, enqueue func(*tcpConn) error) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -364,15 +378,8 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		t.breakerRejects.Add(1)
 		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
 	}
-	binary := t.cfg.WireVersion == wire.VersionBinary
-	attempt := func(c *tcpConn) error {
-		if binary {
-			return c.send(&msg)
-		}
-		return c.sendGob(&msg)
-	}
 	if c != nil {
-		err := attempt(c)
+		err := enqueue(c)
 		if err == nil {
 			return nil
 		}
@@ -390,99 +397,7 @@ func (t *TCPTransport) Send(addr string, msg wire.Message) error {
 		brk.onFailure()
 		return err
 	}
-	if err := attempt(c); err != nil {
-		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-		} else {
-			t.dropConn(addr, c)
-			t.fabricDrops.Add(1)
-		}
-		brk.onFailure()
-		return fmt.Errorf("transport: send to %s: %w", addr, err)
-	}
-	return nil
-}
-
-// SendMany implements MultiSender: on the binary wire version msg is
-// encoded exactly once into a pooled, reference-counted buffer and the same
-// frame bytes are queued to every address — a stalled link rejects fast
-// (full queue or open breaker) without delaying the others. The gob version
-// falls back to per-link Send — its per-stream encoder state makes frames
-// non-shareable, which is one of the reasons it is being retired. each
-// (optional) observes every link's outcome.
-func (t *TCPTransport) SendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
-	if t.cfg.WireVersion != wire.VersionBinary {
-		for _, addr := range addrs {
-			err := t.Send(addr, msg)
-			if each != nil {
-				each(addr, err)
-			}
-		}
-		return
-	}
-	buf := wire.GetEncodeBuffer()
-	frame, err := wire.AppendMessage(buf, &msg)
-	if err != nil {
-		wire.PutEncodeBuffer(buf)
-		for _, addr := range addrs {
-			if each != nil {
-				each(addr, err)
-			}
-		}
-		return
-	}
-	// One reference per link plus one held here, so the frame cannot be
-	// pooled while links are still being offered it.
-	refs := new(atomic.Int32)
-	refs.Store(int32(len(addrs)) + 1)
-	for _, addr := range addrs {
-		err := t.sendRaw(addr, frame, refs)
-		if err != nil {
-			// The link never took ownership of its reference.
-			releaseItem(outItem{frame: frame, refs: refs})
-		}
-		if each != nil {
-			each(addr, err)
-		}
-	}
-	releaseItem(outItem{frame: frame, refs: refs})
-}
-
-// sendRaw queues one pre-encoded shared frame to addr with the same cached
-// connection + single redial + breaker contract as Send.
-func (t *TCPTransport) sendRaw(addr string, frame []byte, refs *atomic.Int32) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	c := t.conns[addr]
-	brk := t.breakerLocked(addr)
-	t.mu.Unlock()
-
-	if !brk.allow() {
-		t.breakerRejects.Add(1)
-		return fmt.Errorf("%w: %s", ErrBreakerOpen, addr)
-	}
-	if c != nil {
-		err := c.sendShared(frame, refs)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, ErrSendQueueFull) {
-			t.sendQueueDrops.Add(1)
-			brk.onFailure()
-			return fmt.Errorf("transport: send to %s: %w", addr, err)
-		}
-		t.dropConn(addr, c)
-	}
-	c, err := t.dial(addr)
-	if err != nil {
-		t.fabricDrops.Add(1)
-		brk.onFailure()
-		return err
-	}
-	if err := c.sendShared(frame, refs); err != nil {
+	if err := enqueue(c); err != nil {
 		if errors.Is(err, ErrSendQueueFull) {
 			t.sendQueueDrops.Add(1)
 		} else {
@@ -503,25 +418,16 @@ func (t *TCPTransport) dial(addr string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	var fw *wire.FrameWriter
-	if t.cfg.WireVersion != wire.VersionBinary {
-		fw, err = wire.NewFrameWriterVersion(conn, t.cfg.WireVersion)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-	}
 	c := &tcpConn{
 		t:          t,
 		addr:       addr,
 		conn:       conn,
 		brk:        brk,
-		fw:         fw,
 		writeTmo:   t.cfg.WriteTimeout,
 		sendq:      make(chan outItem, t.cfg.SendQueueLen),
 		writerDone: make(chan struct{}),
 	}
-	if t.coalescing() {
+	if t.cfg.CoalesceWindow >= 0 {
 		c.coal = newCoalescer(t.cfg.CoalesceWindow, t.cfg.CoalesceLimit, c.kickFlush)
 	}
 	t.mu.Lock()
@@ -558,8 +464,8 @@ func (t *TCPTransport) dropConn(addr string, c *tcpConn) {
 	c.close()
 }
 
-// send encodes one message (binary wire) and queues it, buffering
-// coalescable control messages in the per-link container frame instead.
+// send encodes one message and queues it, buffering coalescable control
+// messages in the per-link container frame instead.
 func (c *tcpConn) send(msg *wire.Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -598,15 +504,6 @@ func (c *tcpConn) sendShared(frame []byte, refs *atomic.Int32) error {
 		return err
 	}
 	return c.enqueueLocked(outItem{frame: frame, refs: refs, msgs: 1})
-}
-
-// sendGob queues a message value for the writer goroutine's FrameWriter
-// (gob frames cannot be pre-encoded — the encoder state lives per stream).
-func (c *tcpConn) sendGob(msg *wire.Message) error {
-	cp := *msg
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enqueueLocked(outItem{msg: &cp, msgs: 1})
 }
 
 // enqueueLocked offers an item to the send queue without blocking. Caller
@@ -668,9 +565,9 @@ func (c *tcpConn) kickFlush() {
 }
 
 // writeLoop drains the send queue onto the socket. It is the only goroutine
-// touching the socket's write side (and the gob FrameWriter), so a stalled
-// peer blocks only this loop. The first write failure trips the breaker and
-// drops the connection; the rest of the queue drains as accounted loss.
+// touching the socket's write side, so a stalled peer blocks only this loop.
+// The first write failure trips the breaker and drops the connection; the
+// rest of the queue drains as accounted loss.
 func (c *tcpConn) writeLoop() {
 	defer c.t.wg.Done()
 	defer close(c.writerDone)
@@ -699,11 +596,8 @@ func (c *tcpConn) writeItem(it outItem) error {
 	if err := c.deadline(); err != nil {
 		return err
 	}
-	if it.frame != nil {
-		_, err := c.conn.Write(it.frame)
-		return err
-	}
-	return c.fw.WriteMessage(it.msg)
+	_, err := c.conn.Write(it.frame)
+	return err
 }
 
 func (c *tcpConn) deadline() error {

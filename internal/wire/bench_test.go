@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -11,12 +10,9 @@ import (
 	"time"
 )
 
-// Gob-vs-binary codec benchmarks. The decode side replays a pre-encoded
-// stream so both codecs are measured steady-state, as on a live connection:
-// the gob stream's type descriptors travel once in a warm-up frame read
-// outside the timer (a real link pays them once per connection), and the
-// binary reader keeps its string-intern table warm the same way a long-lived
-// link would.
+// Codec benchmarks. The decode side replays a pre-encoded stream so the
+// codec is measured steady-state, as on a live connection: the reader keeps
+// its string-intern table warm the same way a long-lived link would.
 
 // benchPeer/benchMessages are the traffic shapes the hot path actually
 // carries: a chat-sized payload relayed down a tree, a beacon with a
@@ -52,8 +48,8 @@ func benchMessages() map[string]*Message {
 // benchStream replays a pre-encoded frame stream for decode benchmarks. The
 // stream holds one warm-up frame plus chunk identical frames; when the chunk
 // is exhausted the stream rewinds and re-reads the warm-up frame with the
-// benchmark timer stopped, so descriptor and interning costs never pollute
-// the per-op numbers.
+// benchmark timer stopped, so interning costs never pollute the per-op
+// numbers.
 type benchStream struct {
 	data  []byte
 	rd    *bytes.Reader
@@ -62,19 +58,16 @@ type benchStream struct {
 	chunk int
 }
 
-func newBenchStream(tb testing.TB, version int, msg *Message, chunk int) *benchStream {
+func newBenchStream(tb testing.TB, msg *Message, chunk int) *benchStream {
 	tb.Helper()
-	var buf bytes.Buffer
-	fw, err := NewFrameWriterVersion(&buf, version)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	var data []byte
 	for i := 0; i < chunk+1; i++ {
-		if err := fw.WriteMessage(msg); err != nil {
+		var err error
+		if data, err = AppendMessage(data, msg); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return &benchStream{data: buf.Bytes(), rd: new(bytes.Reader), chunk: chunk}
+	return &benchStream{data: data, rd: new(bytes.Reader), chunk: chunk}
 }
 
 func (s *benchStream) next(b *testing.B, msg *Message) {
@@ -96,42 +89,47 @@ func (s *benchStream) next(b *testing.B, msg *Message) {
 
 const benchChunk = 4096
 
-func benchEncode(b *testing.B, version int) {
-	for name, msg := range benchMessages() {
-		b.Run(name, func(b *testing.B) {
-			fw, err := NewFrameWriterVersion(io.Discard, version)
+// benchEncodeOne encodes msg into one reused buffer and writes it out — the
+// per-link encode a transport pays with a warm buffer.
+func benchEncodeOne(msg *Message) func(*testing.B) {
+	return func(b *testing.B) {
+		var scratch []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := AppendMessage(scratch[:0], msg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := fw.WriteMessage(msg); err != nil {
-					b.Fatal(err)
-				}
+			scratch = out
+			if _, err := io.Discard.Write(out); err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }
 
-func benchDecode(b *testing.B, version int) {
+func benchDecodeOne(msg *Message) func(*testing.B) {
+	return func(b *testing.B) {
+		s := newBenchStream(b, msg, benchChunk)
+		var got Message
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.next(b, &got)
+		}
+	}
+}
+
+func BenchmarkEncodeBinary(b *testing.B) {
 	for name, msg := range benchMessages() {
-		b.Run(name, func(b *testing.B) {
-			s := newBenchStream(b, version, msg, benchChunk)
-			var got Message
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.next(b, &got)
-			}
-		})
+		b.Run(name, benchEncodeOne(msg))
 	}
 }
 
-func BenchmarkEncodeBinary(b *testing.B) { benchEncode(b, VersionBinary) }
-func BenchmarkEncodeGob(b *testing.B)    { benchEncode(b, VersionGob) }
-func BenchmarkDecodeBinary(b *testing.B) { benchDecode(b, VersionBinary) }
-func BenchmarkDecodeGob(b *testing.B)    { benchDecode(b, VersionGob) }
+func BenchmarkDecodeBinary(b *testing.B) {
+	for name, msg := range benchMessages() {
+		b.Run(name, benchDecodeOne(msg))
+	}
+}
 
 // relayFanout is the tree fan-out a relay hop pays (parent + children minus
 // the arrival link; 3 is a typical interior node).
@@ -143,7 +141,7 @@ const relayFanout = 3
 // every tree link (the transport's SendMany fast path).
 func BenchmarkRelayHopBinary(b *testing.B) {
 	msg := benchMessages()["payload"]
-	s := newBenchStream(b, VersionBinary, msg, benchChunk)
+	s := newBenchStream(b, msg, benchChunk)
 	var got Message
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -162,40 +160,6 @@ func BenchmarkRelayHopBinary(b *testing.B) {
 			}
 		}
 		PutEncodeBuffer(frame)
-	}
-}
-
-// BenchmarkRelayHopGob is the same relay hop on the legacy gob path: gob
-// streams are stateful, so every tree link owns its encoder and the message
-// is re-encoded per link.
-func BenchmarkRelayHopGob(b *testing.B) {
-	msg := benchMessages()["payload"]
-	s := newBenchStream(b, VersionGob, msg, benchChunk)
-	writers := make([]*FrameWriter, relayFanout)
-	for j := range writers {
-		fw, err := NewFrameWriterVersion(io.Discard, VersionGob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm each link's encoder past its descriptor frame, as a live
-		// connection would be.
-		if err := fw.WriteMessage(msg); err != nil {
-			b.Fatal(err)
-		}
-		writers[j] = fw
-	}
-	var got Message
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.next(b, &got)
-		got.Relay = got.From
-		got.Hops++
-		for _, fw := range writers {
-			if err := fw.WriteMessage(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -235,9 +199,9 @@ func BenchmarkCoalescedEncode(b *testing.B) {
 // leaves modest headroom, not an order of magnitude.
 const relayAllocBudget = 8
 
-// relayAllocRatioFloor is the minimum gob-to-binary allocs/op improvement
-// the PR's acceptance bar demands on the relay hot path.
-const relayAllocRatioFloor = 5.0
+// encodeAllocBudget is the committed allocation budget for encoding one
+// payload, beacon, digest or heartbeat into a reused buffer: none.
+const encodeAllocBudget = 0
 
 type benchRecord struct {
 	Name        string  `json:"name"`
@@ -254,19 +218,17 @@ type benchReport struct {
 	GOARCH        string        `json:"goarch"`
 	Benchmarks    []benchRecord `json:"benchmarks"`
 	Relay         struct {
-		BinaryAllocsPerOp int64   `json:"binary_allocs_per_op"`
-		GobAllocsPerOp    int64   `json:"gob_allocs_per_op"`
-		AllocRatio        float64 `json:"alloc_ratio"`
-		Budget            int64   `json:"budget"`
-		RatioFloor        float64 `json:"ratio_floor"`
+		BinaryAllocsPerOp int64 `json:"binary_allocs_per_op"`
+		Budget            int64 `json:"budget"`
 	} `json:"relay"`
+	EncodeAllocBudget int64 `json:"encode_alloc_budget"`
 }
 
 // TestWriteBenchJSON runs the codec benchmark suite, writes the results to
 // the path in $BENCH_JSON (the repo commits them as BENCH_pr6.json — the
 // measured perf trajectory referenced by docs/PERFORMANCE.md), and enforces
-// the relay hot path's allocation budget: binary allocs/op within
-// relayAllocBudget AND at least relayAllocRatioFloor× below gob.
+// the codec's allocation budgets: the relay hop within relayAllocBudget and
+// every message-shape encode at encodeAllocBudget.
 func TestWriteBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_JSON")
 	if path == "" {
@@ -292,48 +254,20 @@ func TestWriteBenchJSON(t *testing.T) {
 		return rec
 	}
 	for _, shape := range []string{"payload", "beacon", "digest", "heartbeat"} {
-		shape := shape
 		msg := benchMessages()[shape]
-		for _, codec := range []struct {
-			tag     string
-			version int
-		}{{"binary", VersionBinary}, {"gob", VersionGob}} {
-			codec := codec
-			add(fmt.Sprintf("encode/%s/%s", codec.tag, shape), func(b *testing.B) {
-				fw, err := NewFrameWriterVersion(io.Discard, codec.version)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := fw.WriteMessage(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			add(fmt.Sprintf("decode/%s/%s", codec.tag, shape), func(b *testing.B) {
-				s := newBenchStream(b, codec.version, msg, benchChunk)
-				var got Message
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s.next(b, &got)
-				}
-			})
+		enc := add("encode/binary/"+shape, benchEncodeOne(msg))
+		if enc.AllocsPerOp > encodeAllocBudget {
+			t.Errorf("encoding a %s allocates %d/op, over the committed budget of %d",
+				shape, enc.AllocsPerOp, encodeAllocBudget)
 		}
+		add("decode/binary/"+shape, benchDecodeOne(msg))
 	}
 	binRelay := add("relay-hop/binary", BenchmarkRelayHopBinary)
-	gobRelay := add("relay-hop/gob", BenchmarkRelayHopGob)
 	add("coalesced-encode/binary", BenchmarkCoalescedEncode)
 
 	report.Relay.BinaryAllocsPerOp = binRelay.AllocsPerOp
-	report.Relay.GobAllocsPerOp = gobRelay.AllocsPerOp
 	report.Relay.Budget = relayAllocBudget
-	report.Relay.RatioFloor = relayAllocRatioFloor
-	if binRelay.AllocsPerOp > 0 {
-		report.Relay.AllocRatio = float64(gobRelay.AllocsPerOp) / float64(binRelay.AllocsPerOp)
-	} else {
-		report.Relay.AllocRatio = float64(gobRelay.AllocsPerOp)
-	}
+	report.EncodeAllocBudget = encodeAllocBudget
 
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -342,15 +276,10 @@ func TestWriteBenchJSON(t *testing.T) {
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (relay: binary %d allocs/op, gob %d allocs/op, ratio %.1fx)",
-		path, binRelay.AllocsPerOp, gobRelay.AllocsPerOp, report.Relay.AllocRatio)
+	t.Logf("wrote %s (relay: %d allocs/op)", path, binRelay.AllocsPerOp)
 
 	if binRelay.AllocsPerOp > relayAllocBudget {
 		t.Errorf("binary relay hop allocates %d/op, over the committed budget of %d",
 			binRelay.AllocsPerOp, relayAllocBudget)
-	}
-	if report.Relay.AllocRatio < relayAllocRatioFloor {
-		t.Errorf("binary relay hop is only %.1fx better than gob in allocs/op (floor %.1fx)",
-			report.Relay.AllocRatio, relayAllocRatioFloor)
 	}
 }

@@ -3,15 +3,45 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// gobV1Probe returns a pinned frame of the retired gob wire version 1 —
+// TProbe{From: "old:1", ReqID: 1} exactly as a version-1 writer framed it:
+// a 4-byte big-endian length prefix, the gob type descriptors, the value.
+func gobV1Probe(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/gob_v1_probe.hex")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// appendFrames encodes msgs back to back into one byte stream.
+func appendFrames(tb testing.TB, msgs []Message) []byte {
+	tb.Helper()
+	var out []byte
+	for i := range msgs {
+		var err error
+		if out, err = AppendMessage(out, &msgs[i]); err != nil {
+			tb.Fatalf("encode %d: %v", i, err)
+		}
+	}
+	return out
+}
+
 func TestFrameRoundTripStream(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
 	msgs := []Message{
 		{Type: TProbe, From: PeerInfo{Addr: "a:1", Capacity: 3}, ReqID: 1},
 		{Type: TPayload, GroupID: "g", Seq: 9, Data: []byte("hello"),
@@ -21,12 +51,7 @@ func TestFrameRoundTripStream(t *testing.T) {
 			Charter: Charter{GroupID: "g", Epoch: 4,
 				HighWater: []DigestEntry{{Source: "s", High: 7}}}},
 	}
-	for i := range msgs {
-		if err := fw.WriteMessage(&msgs[i]); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	fr := NewFrameReader(&buf)
+	fr := NewFrameReader(bytes.NewReader(appendFrames(t, msgs)))
 	for i := range msgs {
 		var got Message
 		if err := fr.ReadMessage(&got); err != nil {
@@ -42,13 +67,18 @@ func TestFrameRoundTripStream(t *testing.T) {
 	}
 }
 
+// TestFrameReaderRejectsOversizedPrefix: a header announcing a body above
+// MaxFrameSize fails before the reader allocates a body buffer.
 func TestFrameReaderRejectsOversizedPrefix(t *testing.T) {
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, MaxFrameSize+1)
+	hdr := []byte{magic0, magic1, VersionBinary, byte(TPayload), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[4:], MaxFrameSize+1)
 	fr := NewFrameReader(bytes.NewReader(append(hdr, 0)))
 	var msg Message
 	if err := fr.ReadMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
+	}
+	if fr.frame != nil {
+		t.Fatalf("oversized frame allocated a %d-byte body buffer", cap(fr.frame))
 	}
 }
 
@@ -80,45 +110,30 @@ func TestDecodeMessageRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestWriterRejectsOversizedMessage(t *testing.T) {
-	fw := NewFrameWriter(io.Discard)
 	msg := Message{Type: TPayload, Data: make([]byte, MaxFrameSize+1)}
-	if err := fw.WriteMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
-	}
 	if _, err := EncodeMessage(&msg); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("EncodeMessage: got %v, want ErrFrameTooLarge", err)
 	}
+	dst := []byte("keep")
+	out, err := AppendMessage(dst, &msg)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("AppendMessage: got %v, want ErrFrameTooLarge", err)
+	}
+	if string(out) != "keep" {
+		t.Fatalf("failed append left %d bytes, want the 4-byte prefix untouched", len(out))
+	}
 }
 
-// TestMixedVersionStream interleaves gob and binary frames on one byte
-// stream and reads them back with a single sniffing FrameReader — the
-// decoder must keep its per-stream gob state alive across binary frames.
-// This is the rolling-upgrade wire contract from docs/WIRE.md.
+// TestMixedVersionStream: a stream that switches to the retired gob wire
+// version mid-way decodes every binary frame before the switch, then fails
+// with ErrBadMagic on the first version-1 frame.
 func TestMixedVersionStream(t *testing.T) {
-	var buf bytes.Buffer
-	gw, err := NewFrameWriterVersion(&buf, VersionGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := NewFrameWriter(&buf)
 	msgs := []Message{
-		{Type: TProbe, From: PeerInfo{Addr: "a:1", Coord: []float64{1, 2}, Capacity: 3}, ReqID: 1},
 		{Type: TPayload, GroupID: "g", Seq: 9, Data: []byte("binary"), MsgID: 2},
-		{Type: TDigest, GroupID: "g", Digest: []DigestEntry{{Source: "s", High: 7}}, MsgID: 3},
-		{Type: TBeacon, GroupID: "g", Epoch: 4, MsgID: 4,
-			Charter: Charter{GroupID: "g", Epoch: 4, Deputies: []PeerInfo{{Addr: "d:1"}}}},
 		{Type: TNack, GroupID: "g", NackSource: "s", NackSeqs: []uint64{5, 6}, MsgID: 5},
 	}
-	for i := range msgs {
-		w := gw
-		if i%2 == 1 {
-			w = bw
-		}
-		if err := w.WriteMessage(&msgs[i]); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	fr := NewFrameReader(&buf)
+	stream := append(appendFrames(t, msgs), gobV1Probe(t)...)
+	fr := NewFrameReader(bytes.NewReader(stream))
 	for i := range msgs {
 		var got Message
 		if err := fr.ReadMessage(&got); err != nil {
@@ -128,56 +143,34 @@ func TestMixedVersionStream(t *testing.T) {
 			t.Fatalf("message %d mismatch:\n got %+v\nwant %+v", i, got, msgs[i])
 		}
 	}
-	var extra Message
-	if err := fr.ReadMessage(&extra); err != io.EOF {
-		t.Fatalf("stream end: got %v, want io.EOF", err)
+	var v1 Message
+	if err := fr.ReadMessage(&v1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("version-1 frame: got %v, want ErrBadMagic", err)
 	}
 }
 
-// TestEncodeMessageVersionRoundTrips: standalone frames of both wire
-// versions decode through the same version-sniffing entry points.
-func TestEncodeMessageVersionRoundTrips(t *testing.T) {
-	msg := Message{Type: TAdvertise, From: PeerInfo{Addr: "r:1", Capacity: 5},
-		GroupID: "g", TTL: 7, MsgID: 11, Mode: ReliableOrdered, Epoch: 2}
-	for _, version := range []int{VersionGob, VersionBinary} {
-		enc, err := EncodeMessageVersion(&msg, version)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
+// TestGobFrameRejected pins the retirement of wire version 1: a gob frame is
+// refused with ErrBadMagic after the 8 header bytes, before the reader
+// allocates a body buffer — even when its length prefix announces a body
+// just under the 4 MiB cap.
+func TestGobFrameRejected(t *testing.T) {
+	v1 := gobV1Probe(t)
+	huge := append([]byte{0x00, 0x3F, 0xFF, 0xFF}, v1[4:]...)
+	for name, frame := range map[string][]byte{"probe": v1, "huge-prefix": huge} {
+		rd := bytes.NewReader(frame)
+		fr := NewFrameReader(rd)
+		var msg Message
+		if err := fr.ReadMessage(&msg); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: got %v, want ErrBadMagic", name, err)
 		}
-		got, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("v%d: decode: %v", version, err)
+		if read := len(frame) - rd.Len(); read != binHeaderLen {
+			t.Fatalf("%s: reader consumed %d bytes, want the %d-byte header", name, read, binHeaderLen)
 		}
-		if !msgEquivalent(&got, &msg) {
-			t.Fatalf("v%d round trip mismatch:\n got %+v\nwant %+v", version, got, msg)
+		if fr.frame != nil {
+			t.Fatalf("%s: rejected frame allocated a %d-byte body buffer", name, cap(fr.frame))
 		}
-		if _, err := EncodeMessageVersion(&msg, 9); err == nil {
-			t.Fatal("unknown version accepted")
+		if _, err := DecodeFrames(frame); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: DecodeFrames: got %v, want ErrBadMagic", name, err)
 		}
-	}
-}
-
-// TestGobFrameStillDecodes pins backward compatibility with the legacy gob
-// framing: a pre-upgrade peer's bytes must keep decoding until the gob
-// version is retired.
-func TestGobFrameStillDecodes(t *testing.T) {
-	msg := Message{Type: TPayload, From: PeerInfo{Addr: "old:1"}, GroupID: "g",
-		Seq: 3, Data: []byte("legacy")}
-	enc, err := EncodeMessageVersion(&msg, VersionGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gob length prefixes are 4-byte big-endian under the 4MiB cap, so the
-	// first byte is always 0x00 — that is what the sniffer relies on to
-	// tell the versions apart. Guard the invariant explicitly.
-	if enc[0] != 0 {
-		t.Fatalf("gob frame no longer starts 0x00 (got %#x); version sniffing is broken", enc[0])
-	}
-	msgs, err := DecodeFrames(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 1 || !msgEquivalent(&msgs[0], &msg) {
-		t.Fatalf("gob frame decoded to %+v", msgs)
 	}
 }

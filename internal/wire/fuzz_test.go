@@ -54,17 +54,23 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			Health: []HealthDigest{
 				{Addr: "10.0.0.2:7002", Epoch: 9, Pressure: 1, Degraded: true}}},
 	}
-	// Both wire versions of every shape: the sniffing decoder must hold its
-	// contract against hostile mutations of either layout.
+	// Every shape twice: as a standalone frame and as the lone sub-message
+	// of a coalesced container, so mutations reach both body decoders.
 	out := make([][]byte, 0, 2*len(msgs)+2)
 	for i := range msgs {
-		for _, version := range []int{VersionBinary, VersionGob} {
-			b, err := EncodeMessageVersion(&msgs[i], version)
-			if err != nil {
-				tb.Fatalf("seed %d v%d: %v", i, version, err)
-			}
-			out = append(out, b)
+		frame, err := EncodeMessage(&msgs[i])
+		if err != nil {
+			tb.Fatalf("seed %d: %v", i, err)
 		}
+		sub, err := AppendSubMessage(nil, &msgs[i])
+		if err != nil {
+			tb.Fatalf("seed %d: %v", i, err)
+		}
+		container, err := AppendCoalesced(nil, sub)
+		if err != nil {
+			tb.Fatalf("seed %d: %v", i, err)
+		}
+		out = append(out, frame, container)
 	}
 	// Coalesced containers: beacon+digest (the real traffic pattern) and a
 	// single-element container (what a timer flush of one message emits).
@@ -95,20 +101,23 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 
 // FuzzDecodeMessage holds the decoder to its contract: arbitrary input must
 // either decode (and then re-encode/re-decode consistently) or return an
-// error — never panic and never allocate past the frame cap. It covers both
-// wire versions and the coalesced container layout.
+// error — never panic and never allocate past the frame cap. It covers
+// plain frames, the coalesced container layout and version-1 prefixes.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
-	// Hostile prefixes: huge gob length, zero length, truncated header/body.
+	// Hostile prefixes in the retired gob wire version 1 layout (4-byte
+	// big-endian length): huge length, zero length, truncated header/body,
+	// and the head of a real version-1 frame. All must fail on the magic.
 	huge := make([]byte, 8)
 	binary.BigEndian.PutUint32(huge, 1<<30)
 	f.Add(huge)
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0, 0, 0, 5, 1, 2})
+	f.Add([]byte{0x00, 0x00, 0x03, 0x86, 0xfe, 0x01, 0x69, 0x7f, 0x03, 0x01, 0x01, 0x07})
 	// Hostile binary headers: bad magic, unknown version, oversized binary
 	// length, coalesced container with a lying sub-length, empty container.
 	f.Add([]byte{'G', 'X', 2, 1, 1, 0, 0, 0, 0})

@@ -1,85 +1,33 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
-func TestGobRoundTrip(t *testing.T) {
-	msg := Message{
-		Type:       TAdvertise,
-		From:       PeerInfo{Addr: "10.0.0.1:7001", Coord: []float64{1.5, -2.25}, Capacity: 100, CoordErr: 0.3},
-		ReqID:      42,
-		Neighbors:  []PeerInfo{{Addr: "n1"}, {Addr: "n2", Capacity: 10}},
-		GroupID:    "room",
-		Rendezvous: PeerInfo{Addr: "rdv"},
-		TTL:        7,
-		Origin:     PeerInfo{Addr: "origin"},
-		Subscriber: PeerInfo{Addr: "sub"},
-		MsgID:      999,
-		Data:       []byte{0, 1, 2, 255},
-		SentAt:     time.Unix(1e9, 12345).UTC(),
-		Path:       []string{"a", "b"},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(msg, got) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, msg)
-	}
-}
-
-func TestGobRoundTripProperty(t *testing.T) {
-	f := func(addr string, coordRaw [3]float64, cap float64, ttl uint8, data []byte, gid string) bool {
-		msg := Message{
-			Type:    TPayload,
-			From:    PeerInfo{Addr: addr, Coord: coordRaw[:], Capacity: cap},
-			GroupID: gid,
-			TTL:     int(ttl),
-			Data:    data,
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
-			return false
-		}
-		var got Message
-		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-			return false
-		}
-		// gob encodes empty slices as nil; normalize before comparing.
-		if len(msg.Data) == 0 {
-			msg.Data = nil
-		}
-		if len(got.Data) == 0 {
-			got.Data = nil
-		}
-		return reflect.DeepEqual(msg, got)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestZeroMessageEncodes: the zero Message survives both framings the
+// transport writes — a standalone frame and a coalesced sub-message.
 func TestZeroMessageEncodes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Message{}); err != nil {
+	standalone, err := EncodeMessage(&Message{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got Message
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+	sub, err := AppendSubMessage(nil, &Message{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != 0 || got.TTL != 0 {
-		t.Fatalf("zero message mutated: %+v", got)
+	container, err := AppendCoalesced(nil, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range map[string][]byte{"standalone": standalone, "coalesced": container} {
+		msgs, err := DecodeFrames(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(msgs) != 1 || !reflect.DeepEqual(msgs[0], Message{}) {
+			t.Fatalf("%s: zero message mutated: %+v", name, msgs)
+		}
 	}
 }
 
