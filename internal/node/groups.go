@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"groupcast/internal/core"
@@ -701,8 +702,10 @@ func (n *Node) Publish(groupID string, data []byte) error {
 	}
 	seq := gs.pub.NextItem(reliable.Item{Data: data, TraceID: traceID, OriginAt: origin})
 	self := n.selfInfoLocked()
-	targets := forwardTargetsLocked(gs, "")
+	tp := forwardTargetsLocked(gs, "")
 	n.mu.Unlock()
+	defer putTargets(tp)
+	targets := *tp
 	msg := wire.Message{
 		Type:     wire.TPayload,
 		From:     self,
@@ -732,7 +735,7 @@ func (n *Node) Publish(groupID string, data []byte) error {
 		if n.tracer != nil {
 			n.tracer.Record(trace.Event{
 				Time: time.Now(), Node: self.Addr, Kind: trace.KindSend,
-				Msg: msg.Type.String(), Group: groupID,
+				Msg: wire.TPayload.String(), Group: groupID,
 				TraceID: traceID, Seq: seq, Source: self.Addr, Peer: addr,
 				SendUS: time.Since(sendStart).Microseconds(),
 			})
@@ -751,7 +754,7 @@ func (n *Node) Publish(groupID string, data []byte) error {
 // edges. deliverMu is held across the window update and the handler calls so
 // concurrent release paths (recv, NACK sweep, digest) cannot interleave an
 // ordered stream.
-func (n *Node) handlePayload(msg wire.Message) {
+func (n *Node) handlePayload(msg *wire.Message) {
 	hop := msg.Relay.Addr
 	if hop == "" {
 		hop = msg.From.Addr
@@ -774,11 +777,12 @@ func (n *Node) handlePayload(msg wire.Message) {
 		w.LastHop = hop
 	}
 	now := time.Now()
-	var res reliable.ObserveResult
+	res := &n.payloadRes
+	res.Reset()
 	w.ObserveItem(msg.Seq, reliable.Item{
 		Data: msg.Data, TraceID: msg.TraceID, OriginAt: msg.OriginAt,
-	}, now, &res)
-	n.noteWindowLocked(&res)
+	}, now, res)
+	n.noteWindowLocked(res)
 	if !res.Fresh {
 		n.stats.dupes.Add(1)
 	}
@@ -796,17 +800,18 @@ func (n *Node) handlePayload(msg wire.Message) {
 			h(msg.GroupID, msg.From, d.Data)
 		}
 	}
+	fresh := res.Fresh
 	n.deliverMu.Unlock()
-	if !res.Fresh {
+	if !fresh {
 		return
 	}
 	n.mu.Lock()
 	mode := gs.mode
-	fwd := msg
-	fwd.Relay = n.selfInfoLocked()
-	fwd.Hops = msg.Hops + 1
-	targets := forwardTargetsLocked(gs, hop)
+	relay := n.selfInfoLocked()
+	tp := forwardTargetsLocked(gs, hop)
 	n.mu.Unlock()
+	defer putTargets(tp)
+	targets := *tp
 	// Graceful degradation: while overloaded, shed best-effort payload relay
 	// — the loss-tolerant fan-out — but never reliable or control traffic,
 	// and never local delivery (which already happened above). Downstream
@@ -815,19 +820,37 @@ func (n *Node) handlePayload(msg wire.Message) {
 		n.stats.relaySheds.Add(1)
 		return
 	}
-	sendStart := time.Now()
-	fwd.RelayedAt = sendStart
-	n.sendMany(targets, fwd, func(addr string, err error) {
-		if err == nil && n.tracer != nil {
-			n.tracer.Record(trace.Event{
-				Time: time.Now(), Node: n.self.Addr, Kind: trace.KindSend,
-				Msg: fwd.Type.String(), Group: fwd.GroupID,
-				TraceID: fwd.TraceID, Seq: fwd.Seq, Source: fwd.From.Addr,
-				Peer: addr, Hop: fwd.Hops,
-				SendUS: time.Since(sendStart).Microseconds(),
-			})
+	fwd := *msg
+	fwd.Relay = relay
+	fwd.Hops = msg.Hops + 1
+	fwd.RelayedAt = time.Now()
+	var each func(addr string, err error)
+	if n.tracer != nil {
+		each = n.traceSendFunc(&fwd, fwd.RelayedAt)
+	}
+	n.sendMany(targets, fwd, each)
+}
+
+// traceSendFunc returns the per-link callback that records a send event for
+// one forwarded payload. It copies what the events need out of msg, so msg
+// itself never escapes to the heap.
+func (n *Node) traceSendFunc(msg *wire.Message, sendStart time.Time) func(addr string, err error) {
+	ev := trace.Event{
+		Node: n.self.Addr, Kind: trace.KindSend,
+		Msg: msg.Type.String(), Group: msg.GroupID,
+		TraceID: msg.TraceID, Seq: msg.Seq, Source: msg.From.Addr,
+		Hop: msg.Hops,
+	}
+	return func(addr string, err error) {
+		if err != nil {
+			return
 		}
-	})
+		e := ev
+		e.Time = time.Now()
+		e.Peer = addr
+		e.SendUS = time.Since(sendStart).Microseconds()
+		n.tracer.Record(e)
+	}
 }
 
 // observeDeliver records one payload hand-off to the application: the
@@ -853,10 +876,17 @@ func (n *Node) observeDeliver(groupID, source string, hops int, d reliable.Deliv
 	})
 }
 
+// targetsPool recycles fan-out lists, so neither a publish nor a relay hop
+// allocates one per payload. It holds *[]string.
+var targetsPool = sync.Pool{New: func() any { return new([]string) }}
+
 // forwardTargetsLocked lists the tree links a payload should travel on:
 // parent and children except the link it arrived over. Callers hold n.mu.
-func forwardTargetsLocked(gs *groupState, arrivedFrom string) []string {
-	targets := make([]string, 0, len(gs.children)+1)
+// The list is a buffer from targetsPool: hand it back with putTargets once
+// the send has returned.
+func forwardTargetsLocked(gs *groupState, arrivedFrom string) *[]string {
+	p := targetsPool.Get().(*[]string)
+	targets := (*p)[:0]
 	if gs.parent != "" && gs.parent != arrivedFrom {
 		targets = append(targets, gs.parent)
 	}
@@ -865,7 +895,14 @@ func forwardTargetsLocked(gs *groupState, arrivedFrom string) []string {
 			targets = append(targets, addr)
 		}
 	}
-	return targets
+	*p = targets
+	return p
+}
+
+// putTargets returns a forwardTargetsLocked list to the pool.
+func putTargets(p *[]string) {
+	clear(*p)
+	targetsPool.Put(p)
 }
 
 // Leave departs a group gracefully: children are told to re-join and the

@@ -4,26 +4,21 @@ import (
 	"time"
 
 	"groupcast/internal/core"
-	"groupcast/internal/transport"
 	"groupcast/internal/wire"
 )
 
-// recvLoop dispatches inbound messages until the transport closes.
+// recvLoop dispatches inbound messages until the node stops or the
+// transport closes. It pops the transport's class queues itself, so a
+// message reaches its handler with no goroutine hand-off in between.
 func (n *Node) recvLoop() {
 	defer n.done.Done()
+	inbox := n.tr.InboxQueue()
 	for {
-		select {
-		case msg, ok := <-n.tr.Recv():
-			if !ok {
-				return
-			}
-			n.handle(msg)
-		case <-n.stop:
-			// Drain until the transport closes its channel.
-			for range n.tr.Recv() {
-			}
+		msg, ok := inbox.Next(n.stop)
+		if !ok {
 			return
 		}
+		n.handle(&msg)
 	}
 }
 
@@ -41,7 +36,9 @@ var tracedTypes = map[wire.Type]bool{
 	wire.TDigest:    true,
 }
 
-func (n *Node) handle(msg wire.Message) {
+// handle runs one inbound message through dispatch. msg is borrowed for
+// the call: handlers copy what they keep.
+func (n *Node) handle(msg *wire.Message) {
 	start := time.Now()
 	n.stats.onRecv(msg.Type)
 	if msg.Type == wire.TPayload {
@@ -52,35 +49,33 @@ func (n *Node) handle(msg wire.Message) {
 				n.metrics.relayHop.ObserveDurationMs(float64(d) / float64(time.Millisecond))
 			}
 		}
-		if qr, ok := n.tr.(transport.QueueReporter); ok {
-			n.metrics.queueDepth.Observe(float64(qr.QueueDepth()))
-		}
+		n.metrics.queueDepth.Observe(float64(n.tr.InboxQueue().Depth()))
 	}
 	n.dispatch(msg)
 	if n.tracer != nil && tracedTypes[msg.Type] {
-		n.traceRecv(msg, start, time.Since(start))
+		n.traceRecv(*msg, start, time.Since(start))
 	}
 }
 
-func (n *Node) dispatch(msg wire.Message) {
+func (n *Node) dispatch(msg *wire.Message) {
 	switch msg.Type {
 	case wire.TProbe:
-		n.handleProbe(msg)
+		n.handleProbe(*msg)
 	case wire.TProbeResp, wire.TSearchHit:
-		n.routePending(msg)
+		n.routePending(*msg)
 	case wire.TJoinAck:
-		n.handleJoinAck(msg)
-		n.routePending(msg)
+		n.handleJoinAck(*msg)
+		n.routePending(*msg)
 	case wire.TConnect:
 		n.addNeighbor(msg.From)
 	case wire.TBackConnect:
-		n.handleBackConnect(msg)
+		n.handleBackConnect(*msg)
 	case wire.TBackAccept:
 		n.addNeighbor(msg.From)
 	case wire.THeartbeat:
 		n.touchNeighbor(msg.From)
 		n.dhtObserve(msg.From)
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 		// The ack gossips health back so digests spread both ways on every
 		// heartbeat exchange.
 		health := n.telemetryHealth()
@@ -91,46 +86,46 @@ func (n *Node) dispatch(msg wire.Message) {
 	case wire.THeartbeatAck:
 		n.touchNeighbor(msg.From)
 		n.dhtObserve(msg.From)
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 		if !msg.SentAt.IsZero() {
 			rttMs := float64(time.Since(msg.SentAt)) / float64(time.Millisecond)
 			n.metrics.heartbeatRTT.ObserveDurationMs(rttMs)
 			n.observeRTT(msg.From, rttMs)
 		}
 	case wire.TAdvertise:
-		n.handleAdvertise(msg)
+		n.handleAdvertise(*msg)
 	case wire.TJoin:
-		n.handleJoin(msg)
+		n.handleJoin(*msg)
 	case wire.TSearch:
-		n.handleSearch(msg)
+		n.handleSearch(*msg)
 	case wire.TPayload:
 		n.handlePayload(msg)
 	case wire.TBeacon:
-		n.observeHealth(msg)
-		n.handleBeacon(msg)
+		n.observeHealth(*msg)
+		n.handleBeacon(*msg)
 	case wire.TTelemetry:
 		// Standalone digest exchange (tools and tests; the node itself
 		// piggybacks on heartbeats and beacons instead).
-		n.observeHealth(msg)
+		n.observeHealth(*msg)
 	case wire.TNack:
-		n.handleNack(msg)
+		n.handleNack(*msg)
 	case wire.TDigest:
-		n.handleDigest(msg)
+		n.handleDigest(*msg)
 	case wire.TLeave:
-		n.handleLeave(msg)
+		n.handleLeave(*msg)
 	case wire.THandoff:
-		n.handleHandoff(msg)
+		n.handleHandoff(*msg)
 	case wire.TDhtFindNode:
-		n.handleDhtFindNode(msg)
+		n.handleDhtFindNode(*msg)
 	case wire.TDhtFindValue:
-		n.handleDhtFindValue(msg)
+		n.handleDhtFindValue(*msg)
 	case wire.TDhtStore:
-		n.handleDhtStore(msg)
+		n.handleDhtStore(*msg)
 	case wire.TDhtFindNodeResp, wire.TDhtFindValueResp, wire.TDhtStoreAck:
 		// Every DHT reply is liveness evidence for the routing table; the
 		// waiting lookup (if still there) gets the message itself.
 		n.dhtObserve(msg.From)
-		n.routePending(msg)
+		n.routePending(*msg)
 	}
 }
 

@@ -334,7 +334,10 @@ type Node struct {
 	// encodes a frame once and writes the same bytes to every tree link);
 	// nil means sendMany falls back to a per-link Send loop.
 	multi transport.MultiSender
-	self  wire.PeerInfo
+	// countSendErr is sendMany's per-link callback when the caller has
+	// none, built once so an untraced fan-out allocates no closure.
+	countSendErr func(addr string, err error)
+	self         wire.PeerInfo
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -355,6 +358,9 @@ type Node struct {
 	// arrivals on the receive loop, abandonment skips on the NACK sweep,
 	// forced releases on digests). It is never held while n.mu is taken.
 	deliverMu sync.Mutex
+	// payloadRes is handlePayload's window result, reused under deliverMu so
+	// an in-order payload allocates no result slices.
+	payloadRes reliable.ObserveResult
 
 	stats statCounters
 	// overload is the graceful-degradation controller's state (see
@@ -531,9 +537,9 @@ func New(tr transport.Transport, cfg Config) *Node {
 	if cfg.TelemetryStaleEpochs < 1 {
 		cfg.TelemetryStaleEpochs = DefaultTelemetryStaleEpochs
 	}
-	coord := cfg.Coord
-	if coord == nil {
-		coord = coords.Point{0, 0, 0}
+	coord := coords.Point{0, 0, 0}
+	if cfg.Coord != nil {
+		coord = cfg.Coord.Clone() // owned: selfInfoLocked shares it
 	}
 	var vivaldi *coords.VivaldiNode
 	if cfg.EnableVivaldi {
@@ -564,6 +570,11 @@ func New(tr transport.Transport, cfg Config) *Node {
 		stop:      make(chan struct{}),
 	}
 	n.multi, _ = tr.(transport.MultiSender)
+	n.countSendErr = func(_ string, err error) {
+		if err != nil {
+			n.stats.sendErrors.Add(1)
+		}
+	}
 	if vivaldi != nil {
 		n.self.CoordErr = vivaldi.ErrorEstimate()
 	}
@@ -612,10 +623,11 @@ func (n *Node) selfInfo() wire.PeerInfo {
 	return n.selfInfoLocked()
 }
 
+// selfInfoLocked returns the node's identity. Its Coord is shared, not
+// copied: n.self.Coord is never written in place (observeRTT replaces it
+// with a fresh clone), and receivers only read PeerInfo.Coord.
 func (n *Node) selfInfoLocked() wire.PeerInfo {
-	cp := n.self
-	cp.Coord = append([]float64(nil), n.self.Coord...)
-	return cp
+	return n.self
 }
 
 // Coord returns the node's current advertised coordinate (live under

@@ -230,12 +230,6 @@ func (n *Node) Breakers() []transport.BreakerInfo {
 	return nil
 }
 
-// InboxQueue exposes the transport's class-prioritized inbound queue (nil
-// when the transport has none), for experiments and tests that read the
-// per-class accepted/shed counters.
-func (n *Node) InboxQueue() *transport.PrioInbox {
-	if iq, ok := n.tr.(interface{ InboxQueue() *transport.PrioInbox }); ok {
-		return iq.InboxQueue()
-	}
-	return nil
-}
+// InboxQueue exposes the transport's class-prioritized inbound queue, for
+// experiments and tests that read the per-class accepted/shed counters.
+func (n *Node) InboxQueue() *transport.PrioInbox { return n.tr.InboxQueue() }

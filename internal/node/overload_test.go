@@ -160,7 +160,7 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	forceDegraded(relay, true)
 	src := wire.PeerInfo{Addr: "src"}
-	relay.handlePayload(wire.Message{
+	relay.handlePayload(&wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 1,
 		Mode: wire.BestEffort, Data: []byte("x"),
 	})
@@ -176,7 +176,7 @@ func TestOverloadRelayShed(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	relay.handlePayload(wire.Message{
+	relay.handlePayload(&wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "rel", Seq: 1,
 		Mode: wire.Reliable, Data: []byte("x"),
 	})
@@ -194,7 +194,7 @@ func TestOverloadRelayShed(t *testing.T) {
 
 	// Recovery restores best-effort fan-out.
 	forceDegraded(relay, false)
-	relay.handlePayload(wire.Message{
+	relay.handlePayload(&wire.Message{
 		Type: wire.TPayload, From: src, GroupID: "be", Seq: 2,
 		Mode: wire.BestEffort, Data: []byte("y"),
 	})

@@ -135,12 +135,14 @@ func (n *Node) handleNack(msg wire.Message) {
 		}
 		if blocked(upstream) {
 			upstream = ""
-			for _, a := range forwardTargetsLocked(gs, "") {
+			tp := forwardTargetsLocked(gs, "")
+			for _, a := range *tp {
 				if !blocked(a) {
 					upstream = a
 					break
 				}
 			}
+			putTargets(tp)
 		}
 		if blocked(upstream) {
 			upstream = msg.NackSource
@@ -405,9 +407,11 @@ func (n *Node) digestGroups() {
 			Mode:    gs.mode,
 			Digest:  entries,
 		}
-		for _, addr := range forwardTargetsLocked(gs, "") {
+		tp := forwardTargetsLocked(gs, "")
+		for _, addr := range *tp {
 			digests = append(digests, digest{addr, msg})
 		}
+		putTargets(tp)
 	}
 	n.mu.Unlock()
 	for _, d := range digests {

@@ -148,9 +148,11 @@ type statCounters struct {
 	sloAlerts     atomic.Uint64
 }
 
-func (s *statCounters) onSend(t wire.Type) {
+func (s *statCounters) onSend(t wire.Type) { s.onSendN(t, 1) }
+
+func (s *statCounters) onSendN(t wire.Type, links int) {
 	if t > 0 && int(t) < len(s.sent) {
-		s.sent[t].Add(1)
+		s.sent[t].Add(uint64(links))
 	}
 }
 
@@ -348,16 +350,18 @@ func (n *Node) send(addr string, msg wire.Message) error {
 // per-link send loop otherwise. Accounting matches send — one sent tick per
 // link, one SendErrors tick per immediate failure — and each, when non-nil,
 // observes every link's outcome in order.
+//
+// With each nil the fan-out allocates nothing: the sent ticks are added up
+// front and the per-link callback is the node's prebuilt countSendErr.
 func (n *Node) sendMany(addrs []string, msg wire.Message, each func(addr string, err error)) {
 	if len(addrs) == 0 {
 		return
 	}
-	cb := func(addr string, err error) {
-		n.stats.onSend(msg.Type)
-		if err != nil {
-			n.stats.sendErrors.Add(1)
-		}
-		if each != nil {
+	n.stats.onSendN(msg.Type, len(addrs))
+	cb := n.countSendErr
+	if each != nil {
+		cb = func(addr string, err error) {
+			n.countSendErr(addr, err)
 			each(addr, err)
 		}
 	}

@@ -96,7 +96,8 @@ func (n *Node) telemetryInterval() time.Duration {
 	return n.cfg.HeartbeatInterval * time.Duration(n.cfg.TelemetryEveryEpochs)
 }
 
-// telemetryStaleAfter is the staleness window applied to fleet snapshots.
+// telemetryStaleAfter is the staleness window in wall time, the unit of the
+// restart-forgiveness window. (Fleet snapshots count it in epochs.)
 func (n *Node) telemetryStaleAfter() time.Duration {
 	return time.Duration(n.cfg.TelemetryStaleEpochs) * n.telemetryInterval()
 }
@@ -140,7 +141,7 @@ func (n *Node) telemetryEpoch(epochs int) {
 
 	// Staleness sweep: a node whose digest stopped advancing past the window
 	// is the fleet's crash-stop signal — raise (or clear) the stale rule.
-	for _, nh := range ts.fleet.Snapshot(now, n.telemetryStaleAfter()) {
+	for _, nh := range ts.fleet.Snapshot(uint64(n.cfg.TelemetryStaleEpochs)) {
 		if nh.Self {
 			continue
 		}
@@ -234,7 +235,7 @@ func (n *Node) FleetView() []telemetry.NodeHealth {
 	if ts == nil {
 		return nil
 	}
-	return ts.fleet.Snapshot(time.Now(), n.telemetryStaleAfter())
+	return ts.fleet.Snapshot(uint64(n.cfg.TelemetryStaleEpochs))
 }
 
 // TelemetryHistory returns the node's buffered time-series samples, oldest

@@ -95,6 +95,14 @@ type ObserveResult struct {
 	Deliver []Delivery
 }
 
+// Reset empties r for reuse. The slices keep their capacity (their old
+// elements are cleared so released payloads are not pinned), so a caller
+// that observes through one result allocates nothing in steady state.
+func (r *ObserveResult) Reset() {
+	clear(r.Deliver)
+	*r = ObserveResult{RecoveredAfter: r.RecoveredAfter[:0], Deliver: r.Deliver[:0]}
+}
+
 // gap is one missing sequence the receiver is trying to recover.
 type gap struct {
 	since    time.Time // when the gap was first detected

@@ -18,8 +18,8 @@ type NodeHealth struct {
 	// LastSeen is when this view first accepted the digest's epoch (not when
 	// it was last relayed — a circulating stale digest must not look fresh).
 	LastSeen time.Time `json:"last_seen"`
-	// Stale marks entries whose digest stopped advancing for longer than the
-	// staleness window at snapshot time.
+	// Stale marks entries whose digest has not advanced for more than the
+	// staleness window, counted in the viewing node's own epochs.
 	Stale bool `json:"stale,omitempty"`
 	// Self marks the viewing node's own row.
 	Self bool `json:"self,omitempty"`
@@ -28,6 +28,7 @@ type NodeHealth struct {
 type fleetEntry struct {
 	d        wire.HealthDigest
 	lastSeen time.Time
+	seenTick uint64 // the view's tick when d was accepted
 }
 
 // Fleet is one node's eventually consistent view of every node it has heard
@@ -42,6 +43,14 @@ type Fleet struct {
 	nodes    map[string]*fleetEntry
 	gossipAt int
 	maxNodes int
+	// tick counts the viewing node's own digests accepted — one per
+	// telemetry epoch — and tickAt is when the latest was observed. They
+	// are the view's clock: staleness counts the viewer's epochs, not wall
+	// time, so a short tick of the viewer's loop cannot make a peer stale
+	// early. (A count, not the digest's epoch number, so a restarted node
+	// whose epoch counter resumes from its state file does not jump.)
+	tick   uint64
+	tickAt time.Time
 	// forgiveAfter is the restart-forgiveness window: a digest whose epoch
 	// regresses is normally a stale relay and is dropped, but when the held
 	// entry has been silent longer than this, the regression is read as the
@@ -82,12 +91,30 @@ func (f *Fleet) SetForgiveAfter(d time.Duration) {
 // circulates. The one exception is restart forgiveness (SetForgiveAfter): a
 // regressing epoch for a long-silent entry means the node came back with
 // reset counters, and the restarted lineage is adopted.
+//
+// Accepting the viewing node's own digest advances the view's clock by one
+// tick. Every other accepted digest is stamped with the current tick, and
+// its LastSeen is never earlier than the moment that tick began: a digest
+// timed just before the viewer's tick but merged just after it belongs to
+// the new epoch, on both clocks.
 func (f *Fleet) Observe(d wire.HealthDigest, now time.Time) bool {
 	if d.Addr == "" {
 		return false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if d.Addr == f.self {
+		if e, ok := f.nodes[d.Addr]; ok && d.Epoch <= e.d.Epoch {
+			return false
+		}
+		f.tick++
+		f.tickAt = now
+		f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenTick: f.tick}
+		return true
+	}
+	if now.Before(f.tickAt) {
+		now = f.tickAt
+	}
 	if e, ok := f.nodes[d.Addr]; ok {
 		if d.Epoch <= e.d.Epoch {
 			restarted := f.forgiveAfter > 0 && now.Sub(e.lastSeen) > f.forgiveAfter
@@ -97,12 +124,13 @@ func (f *Fleet) Observe(d wire.HealthDigest, now time.Time) bool {
 		}
 		e.d = d
 		e.lastSeen = now
+		e.seenTick = f.tick
 		return true
 	}
 	if len(f.nodes) >= f.maxNodes {
 		f.evictOldestLocked()
 	}
-	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now}
+	f.nodes[d.Addr] = &fleetEntry{d: d, lastSeen: now, seenTick: f.tick}
 	return true
 }
 
@@ -123,14 +151,16 @@ func (f *Fleet) evictOldestLocked() {
 }
 
 // Snapshot returns the view sorted by node address, marking entries whose
-// digest has not advanced within staleAfter (0 disables stale marking).
-func (f *Fleet) Snapshot(now time.Time, staleAfter time.Duration) []NodeHealth {
+// digest has not advanced for more than staleEpochs of the viewing node's
+// own epochs (0 disables stale marking). The viewing node's row is never
+// stale: its digests are the view's clock.
+func (f *Fleet) Snapshot(staleEpochs uint64) []NodeHealth {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]NodeHealth, 0, len(f.nodes))
 	for addr, e := range f.nodes {
 		nh := NodeHealth{HealthDigest: e.d, LastSeen: e.lastSeen, Self: addr == f.self}
-		if staleAfter > 0 && now.Sub(e.lastSeen) > staleAfter {
+		if staleEpochs > 0 && f.tick-e.seenTick > staleEpochs {
 			nh.Stale = true
 		}
 		out = append(out, nh)

@@ -59,7 +59,8 @@ func TestHistoryDeltasAndRing(t *testing.T) {
 
 // TestFleetEpochMonotonicAndStale pins the convergence rules: only strictly
 // advancing epochs are accepted (replayed relays don't refresh liveness),
-// and entries whose digest stops advancing go stale.
+// and entries whose digest stops advancing go stale after more than the
+// window of the viewer's own epochs.
 func TestFleetEpochMonotonicAndStale(t *testing.T) {
 	f := NewFleet("a:1", 0)
 	t0 := time.Unix(1700000000, 0)
@@ -82,20 +83,42 @@ func TestFleetEpochMonotonicAndStale(t *testing.T) {
 		t.Fatalf("Get(b:1) = %+v, %v", d, ok)
 	}
 
-	// a:1 last advanced at t0 (5.5s ago), b:1 at t0+1s (4.5s ago).
-	view := f.Snapshot(t0.Add(5500*time.Millisecond), 5*time.Second)
-	if len(view) != 2 {
-		t.Fatalf("view size = %d, want 2", len(view))
+	// Staleness counts the viewer's own epochs (its self digests), not wall
+	// time: b:1 last advanced during the viewer's first epoch.
+	selfAt := func(epoch uint64) time.Time { return t0.Add(time.Duration(epoch) * time.Second) }
+	stale := func(staleEpochs uint64) (self, b bool) {
+		t.Helper()
+		view := f.Snapshot(staleEpochs)
+		if len(view) != 2 {
+			t.Fatalf("view size = %d, want 2", len(view))
+		}
+		// Sorted by address: a:1 then b:1.
+		if !view[0].Self || view[0].Addr != "a:1" || view[1].Addr != "b:1" {
+			t.Fatalf("view = %+v, want self a:1 then b:1", view)
+		}
+		return view[0].Stale, view[1].Stale
 	}
-	// Sorted by address: a:1 then b:1.
-	if !view[0].Self || view[0].Addr != "a:1" {
-		t.Fatalf("view[0] = %+v, want self a:1", view[0])
+	for epoch := uint64(2); epoch <= 3; epoch++ {
+		f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: epoch}, selfAt(epoch))
+		if self, b := stale(2); self || b {
+			t.Fatalf("viewer epoch %d: stale self=%v b=%v, want neither within the 2-epoch window", epoch, self, b)
+		}
 	}
-	if !view[0].Stale {
-		t.Fatal("a:1 last advanced 5.5s ago, want stale past the 5s window")
+	f.Observe(wire.HealthDigest{Addr: "a:1", Epoch: 4}, selfAt(4))
+	if self, b := stale(2); self || !b {
+		t.Fatalf("viewer epoch 4: stale self=%v b=%v, want b:1 stale 3 epochs after it last advanced", self, b)
 	}
-	if view[1].Stale {
-		t.Fatal("b:1 advanced 1s ago, must not be stale inside 5s window")
+	if _, b := stale(0); b {
+		t.Fatal("staleEpochs 0 must disable stale marking")
+	}
+	// A fresh digest clears staleness; one timed just before the viewer's
+	// latest epoch began but merged after it is stamped into that epoch.
+	f.Observe(wire.HealthDigest{Addr: "b:1", Epoch: 7}, selfAt(4).Add(-time.Millisecond))
+	if _, b := stale(2); b {
+		t.Fatal("b:1 advanced, still stale")
+	}
+	if view := f.Snapshot(2); !view[1].LastSeen.Equal(selfAt(4)) {
+		t.Fatalf("b:1 LastSeen = %v, want the start of the viewer's epoch %v", view[1].LastSeen, selfAt(4))
 	}
 }
 

@@ -515,6 +515,9 @@ func (e *ChaosEndpoint) Addr() string { return e.addr }
 // Recv returns the wrapped endpoint's inbound stream.
 func (e *ChaosEndpoint) Recv() <-chan wire.Message { return e.inner.Recv() }
 
+// InboxQueue returns the wrapped endpoint's prioritized inbox.
+func (e *ChaosEndpoint) InboxQueue() *PrioInbox { return e.inner.InboxQueue() }
+
 // QueueDepth samples the wrapped endpoint's inbox occupancy (0 when the
 // wrapped transport does not report one).
 func (e *ChaosEndpoint) QueueDepth() int {
@@ -612,7 +615,16 @@ func (e *ChaosEndpoint) Send(addr string, msg wire.Message) error {
 	}
 	for i := 0; i < copies; i++ {
 		e.net.delivered.Add(1)
-		time.AfterFunc(v.delay, func() { _ = e.inner.Send(addr, msg) })
+		e.sendAfter(v.delay, addr, msg)
 	}
 	return nil
+}
+
+// sendAfter hands msg to the wrapped transport once delay has passed. Like
+// MemEndpoint.pushAfter it is kept out of line so that only delayed sends
+// copy msg to the heap for the timer's closure.
+//
+//go:noinline
+func (e *ChaosEndpoint) sendAfter(delay time.Duration, addr string, msg wire.Message) {
+	time.AfterFunc(delay, func() { _ = e.inner.Send(addr, msg) })
 }

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,15 +34,26 @@ func drainInbox(in *PrioInbox, idle time.Duration) []wire.Message {
 	}
 }
 
-// TestPrioInboxDrainOrder: queued messages leave highest class first. The
-// pump may already hold one in-flight message when the rest are queued, so
-// the first delivery is exempt from the ordering assertion.
+// popQueued pops every message queued right now, without waiting.
+func popQueued(in *PrioInbox) []wire.Message {
+	var out []wire.Message
+	for in.Depth() > 0 {
+		msg, ok := in.Next(nil)
+		if !ok {
+			break
+		}
+		out = append(out, msg)
+	}
+	return out
+}
+
+// TestPrioInboxDrainOrder: queued messages leave highest class first, FIFO
+// within a class. Nothing sits between the class queues and Next, so the
+// order is strict from the first pop.
 func TestPrioInboxDrainOrder(t *testing.T) {
 	in := NewPrioInbox(64, false)
 	defer in.Close()
-	in.Push(bestEffortPayload(1))
-	time.Sleep(20 * time.Millisecond) // let the pump take it in flight
-	for i := uint64(2); i < 10; i++ {
+	for i := uint64(1); i < 10; i++ {
 		in.Push(bestEffortPayload(i))
 	}
 	for i := uint64(10); i < 15; i++ {
@@ -48,17 +62,204 @@ func TestPrioInboxDrainOrder(t *testing.T) {
 	for i := uint64(15); i < 20; i++ {
 		in.Push(wire.Message{Type: wire.TBeacon, MsgID: i})
 	}
-	got := drainInbox(in, 200*time.Millisecond)
-	if len(got) != 19 {
-		t.Fatalf("drained %d messages, want 19", len(got))
+	got := popQueued(in)
+	var want []uint64
+	for i := uint64(15); i < 20; i++ {
+		want = append(want, i)
 	}
-	lastClass := wire.ClassControl
-	for i, msg := range got[1:] {
-		cls := wire.Classify(&msg)
-		if cls < lastClass {
-			t.Fatalf("message %d (class %v) delivered after class %v", i+1, cls, lastClass)
+	for i := uint64(10); i < 15; i++ {
+		want = append(want, i)
+	}
+	for i := uint64(1); i < 10; i++ {
+		want = append(want, i)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d messages, want %d", len(got), len(want))
+	}
+	for i, msg := range got {
+		if msg.MsgID != want[i] {
+			t.Fatalf("pop %d = message %d (class %v), want message %d",
+				i, msg.MsgID, wire.Classify(&msg), want[i])
 		}
-		lastClass = cls
+	}
+}
+
+// TestPrioInboxNextStopClose pins Next's exits under concurrent Push, Next
+// and Close: Next returns false once stop is closed and once the inbox is
+// closed, and Close leaves no goroutine behind, with or without the Recv
+// adapter started. Run it under -race.
+func TestPrioInboxNextStopClose(t *testing.T) {
+	returns := func(t *testing.T, what string, next func() bool) {
+		t.Helper()
+		res := make(chan bool, 1)
+		go func() { res <- next() }()
+		select {
+		case ok := <-res:
+			if ok {
+				t.Fatalf("Next returned a message %s", what)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Next still blocked %s", what)
+		}
+	}
+
+	t.Run("stop", func(t *testing.T) {
+		in := NewPrioInbox(8, false)
+		defer in.Close()
+		stop := make(chan struct{})
+		res := make(chan bool, 1)
+		go func() {
+			_, ok := in.Next(stop)
+			res <- ok
+		}()
+		close(stop)
+		if ok := <-res; ok {
+			t.Fatal("Next on an empty inbox returned a message after stop")
+		}
+		in.Push(bestEffortPayload(1))
+		returns(t, "with a closed stop and a queued message", func() bool {
+			_, ok := in.Next(stop)
+			return ok
+		})
+	})
+
+	// The inbox has one consumer: a Next loop, or the Recv adapter.
+	for _, adapter := range []bool{false, true} {
+		name := "next"
+		if adapter {
+			name = "recv-adapter"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			in := NewPrioInbox(16, false)
+			stopPush := make(chan struct{})
+			var pushers sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				pushers.Add(1)
+				go func() {
+					defer pushers.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stopPush:
+							return
+						default:
+						}
+						if i%3 == 0 {
+							in.Push(wire.Message{Type: wire.TBeacon, MsgID: uint64(i)})
+						} else {
+							in.Push(bestEffortPayload(uint64(i)))
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			var popped atomic.Int64
+			consumerDone := make(chan struct{})
+			go func() {
+				defer close(consumerDone)
+				if adapter {
+					for range in.Recv() {
+						popped.Add(1)
+					}
+					return
+				}
+				for {
+					if _, ok := in.Next(nil); !ok {
+						return
+					}
+					popped.Add(1)
+				}
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for popped.Load() < 100 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if popped.Load() == 0 {
+				t.Error("consumer popped nothing while pushers ran")
+			}
+			in.Close()
+			select {
+			case <-consumerDone:
+			case <-time.After(5 * time.Second):
+				t.Fatal("consumer still blocked after Close")
+			}
+			close(stopPush)
+			pushers.Wait()
+			returns(t, "after Close", func() bool {
+				_, ok := in.Next(make(chan struct{}))
+				return ok
+			})
+			if in.Push(bestEffortPayload(1)) {
+				t.Fatal("push accepted after Close")
+			}
+			if in.Depth() != 0 {
+				t.Fatalf("depth %d after Close, want 0", in.Depth())
+			}
+			deadline = time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the inbox existed",
+						runtime.NumGoroutine(), base)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+
+	// Started but never read, the adapter parks holding one message; Close
+	// still ends it.
+	t.Run("recv-adapter-unread", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		in := NewPrioInbox(8, false)
+		in.Recv()
+		in.Push(bestEffortPayload(1))
+		in.Push(bestEffortPayload(2))
+		in.Close()
+		if _, ok := <-in.Recv(); ok {
+			// The adapter may hand over the message it held; after that the
+			// channel must close.
+			if _, ok := <-in.Recv(); ok {
+				t.Fatal("Recv still open after Close")
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Close, %d before the inbox existed",
+					runtime.NumGoroutine(), base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// TestPrioInboxSteadyStateAllocs: once the class rings have grown to the
+// working depth, a push and a pop allocate nothing (the slice queues they
+// replace reallocated as they slid forward).
+func TestPrioInboxSteadyStateAllocs(t *testing.T) {
+	in := NewPrioInbox(64, false)
+	defer in.Close()
+	msgs := []wire.Message{
+		bestEffortPayload(1),
+		reliablePayload(2),
+		{Type: wire.TBeacon, MsgID: 3},
+	}
+	for i := 0; i < 20; i++ {
+		in.Push(msgs[i%len(msgs)])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		in.Push(msgs[i%len(msgs)])
+		i++
+		if _, ok := in.Next(nil); !ok {
+			t.Fatal("Next on a non-empty inbox returned false")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("push+pop at steady depth = %v allocs, want 0", allocs)
+	}
+	if d := in.Depth(); d != 20 {
+		t.Fatalf("depth %d after balanced push/pop, want 20", d)
 	}
 }
 
@@ -151,7 +352,6 @@ func TestPrioInboxReliableDisplacesOnlyBestEffort(t *testing.T) {
 	const capacity = 8
 	in := NewPrioInbox(capacity, false)
 	defer in.Close()
-	time.Sleep(10 * time.Millisecond)
 
 	// Fill with best-effort, then push reliable: displacement.
 	for i := 0; i < 2*capacity; i++ {
@@ -168,9 +368,8 @@ func TestPrioInboxReliableDisplacesOnlyBestEffort(t *testing.T) {
 	in.Push(reliablePayload(999))
 	acc := in.AcceptedByClass()
 	shed := in.ShedByClass()
-	// Either it landed in a freed slot (the pump drained one) or it shed as
-	// reliable; what it must never do is displace control or get counted
-	// against another class.
+	// Either it landed in a freed slot or it shed as reliable; what it must
+	// never do is displace control or get counted against another class.
 	if acc[wire.ClassReliableData] == accBefore && shed[wire.ClassReliableData] == 0 {
 		t.Fatal("reliable push vanished without accept or shed accounting")
 	}

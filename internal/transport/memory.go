@@ -123,8 +123,7 @@ func (n *MemNetwork) deliver(from, to string, msg wire.Message) error {
 		dst.push(msg)
 		return nil
 	}
-	timer := time.AfterFunc(delay, func() { dst.push(msg) })
-	_ = timer
+	dst.pushAfter(delay, msg)
 	return nil
 }
 
@@ -179,7 +178,7 @@ func (e *MemEndpoint) SendMany(addrs []string, msg wire.Message, each func(addr 
 	}
 }
 
-// Recv returns the inbound stream.
+// Recv returns the inbound stream (see Transport for the one-consumer rule).
 func (e *MemEndpoint) Recv() <-chan wire.Message { return e.inbox.Recv() }
 
 // QueueDepth samples the inbox occupancy.
@@ -188,14 +187,23 @@ func (e *MemEndpoint) QueueDepth() int { return e.inbox.Depth() }
 // QueueCapacity reports the inbox bound.
 func (e *MemEndpoint) QueueCapacity() int { return e.inbox.Capacity() }
 
-// InboxQueue exposes the prioritized inbox for tests and experiments that
-// assert on per-class accept/shed accounting.
+// InboxQueue is the prioritized inbox the receiver pops with Next.
 func (e *MemEndpoint) InboxQueue() *PrioInbox { return e.inbox }
 
 // push enqueues an inbound message; the prioritized inbox sheds (with
 // per-class accounting) when full and discards silently when closed.
 func (e *MemEndpoint) push(msg wire.Message) {
 	e.inbox.Push(msg)
+}
+
+// pushAfter enqueues msg once delay has passed. It is a function of its own,
+// kept out of line, so that only the delayed path pays for the closure's
+// heap copy of msg: were the closure in deliver (or inlined into it), msg
+// would move to the heap on every call.
+//
+//go:noinline
+func (e *MemEndpoint) pushAfter(delay time.Duration, msg wire.Message) {
+	time.AfterFunc(delay, func() { e.push(msg) })
 }
 
 // DropStats reports the endpoint's loss counters: messages this endpoint

@@ -207,8 +207,7 @@ func (t *TCPTransport) QueueDepth() int { return t.inbox.Depth() }
 // QueueCapacity reports the inbox bound.
 func (t *TCPTransport) QueueCapacity() int { return t.inbox.Capacity() }
 
-// InboxQueue exposes the prioritized inbox for tests and experiments that
-// assert on per-class accept/shed accounting.
+// InboxQueue is the prioritized inbox the receiver pops with Next.
 func (t *TCPTransport) InboxQueue() *PrioInbox { return t.inbox }
 
 // DropStats reports inbound messages shed on a full inbox (broken down by

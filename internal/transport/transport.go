@@ -12,17 +12,24 @@ import (
 )
 
 // Transport moves wire messages between nodes. Implementations must be safe
-// for concurrent Send calls; Recv returns a single channel owned by the
-// transport, closed by Close.
+// for concurrent Send calls. Inbound messages land in the endpoint's
+// class-prioritized PrioInbox; a receiver consumes them either by calling
+// InboxQueue().Next in a loop (the node does, with no goroutine in between)
+// or by reading the Recv channel, which an adapter goroutine feeds from Next.
+// The two are exclusive: an endpoint has one consumer.
 type Transport interface {
 	// Addr returns this endpoint's stable address.
 	Addr() string
 	// Send delivers msg to the endpoint at addr (asynchronously; delivery is
 	// best-effort and errors indicate immediate local failure only).
 	Send(addr string, msg wire.Message) error
-	// Recv is the stream of inbound messages.
+	// Recv is the stream of inbound messages, closed by Close. The first
+	// call starts the channel adapter over InboxQueue().Next.
 	Recv() <-chan wire.Message
-	// Close releases the endpoint. Subsequent Sends fail.
+	// InboxQueue is the endpoint's prioritized inbound queue.
+	InboxQueue() *PrioInbox
+	// Close releases the endpoint. Subsequent Sends fail, and the inbox's
+	// Next returns false.
 	Close() error
 }
 
